@@ -14,7 +14,6 @@ namespace dnnd::nn::gemm {
 
 namespace {
 
-std::atomic<bool> g_force_naive{false};
 std::atomic<usize> g_threads{0};  ///< 0 = auto (env, then hardware)
 
 /// Work below this many multiply-accumulates runs serial: a pool region costs
@@ -59,7 +58,7 @@ inline float bias_for(const float* bias, Bias kind, usize n) {
 
 /// The serial kernel body: one float accumulator per output, advanced in
 /// ascending k. The inner k loops are the simd:: microkernels -- explicit
-/// AVX2/NEON register tiles with one output column per vector lane, byte-
+/// AVX2 register tiles with one output column per vector lane, byte-
 /// identical to the scalar loops by construction (see nn/simd.hpp for the
 /// lane-per-accumulator argument). The threaded entry point below only ever
 /// calls this on disjoint output blocks.
@@ -148,9 +147,6 @@ void kernel_int8(const simd::I8Kernels& ik, usize M, usize N, usize K, const i8*
 
 }  // namespace
 
-void set_force_naive(bool on) { g_force_naive.store(on, std::memory_order_relaxed); }
-bool force_naive() { return g_force_naive.load(std::memory_order_relaxed); }
-
 void set_threads(usize n) { g_threads.store(n, std::memory_order_relaxed); }
 
 usize threads() {
@@ -167,27 +163,9 @@ usize plan_teams(usize items, usize macs) {
 
 usize packed_b_size(usize N, usize K) { return ((N + kNr - 1) / kNr) * kNr * K; }
 
-usize packed_index(usize n, usize k, usize K) {
-  return (n / kNr) * kNr * K + k * kNr + n % kNr;
-}
-
 void pack_b(const float* B, usize ldb, usize N, usize K, float* packed) {
   for (usize n0 = 0; n0 < N; n0 += kNr) {
     pack_panel(B + n0 * ldb, ldb, std::min(kNr, N - n0), K, packed + n0 * K);
-  }
-}
-
-void pack_b_int8(const i8* q, usize N, usize K, float scale, float* packed) {
-  for (usize n0 = 0; n0 < N; n0 += kNr) {
-    const usize rows = std::min(kNr, N - n0);
-    const i8* src = q + n0 * K;
-    float* panel = packed + n0 * K;
-    for (usize k = 0; k < K; ++k) {
-      float* dst = panel + k * kNr;
-      // Same arithmetic as QuantizedModel::materialize: float(q) * scale.
-      for (usize r = 0; r < rows; ++r) dst[r] = static_cast<float>(src[r * K + k]) * scale;
-      for (usize r = rows; r < kNr; ++r) dst[r] = 0.0f;
-    }
   }
 }
 

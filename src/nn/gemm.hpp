@@ -10,10 +10,10 @@
 // Bit-exactness contract: every output element is produced by ONE float
 // accumulator initialised with its bias term and advanced in strictly
 // ascending k -- the accumulation order of the original hand-rolled loops in
-// src/nn/layers.cpp (retained verbatim in src/nn/reference.cpp). Blocking and
-// packing only reorder *independent* accumulators, never the terms within
-// one, so the lowered path is bitwise identical to the naive path
-// (tests/test_gemm.cpp holds this over randomized shapes).
+// src/nn/layers.cpp (retained verbatim in src/nn/reference.cpp as the test
+// oracle). Blocking and packing only reorder *independent* accumulators,
+// never the terms within one, so the lowered path is bitwise identical to the
+// naive loops (tests/test_gemm.cpp holds this over randomized shapes).
 //
 // Threading extends the same contract: the kernel partitions the OUTPUT
 // (contiguous M row chunks, or B panel groups when M is smaller than the
@@ -24,11 +24,10 @@
 // from set_threads() / the DNND_THREADS env var.
 //
 // The inner k loops are explicit SIMD register tiles (nn/simd.hpp): runtime-
-// dispatched AVX2/NEON microkernels that put one output column per vector
-// lane and issue a distinct non-contracted multiply and add per lane -- the
-// same contract again, so the default SIMD path is byte-identical to the
-// scalar path (DNND_SIMD=0 forces scalar; DNND_FMA=1 opts into a fused fast
-// path that may diverge in rounding and is excluded from the byte gates).
+// dispatched AVX2 microkernels that put one output column per vector lane and
+// issue a distinct non-contracted multiply and add per lane -- the same
+// contract again, so the AVX2 path is byte-identical to the scalar path
+// (DNND_SIMD=0 forces scalar).
 #pragma once
 
 #include "sys/types.hpp"
@@ -72,11 +71,6 @@ void gemm_nt_prepacked(usize M, usize N, usize K, const float* A, usize lda,
                        const float* packed_b, float* C, usize crs, usize ccs,
                        const float* bias, Bias bias_kind);
 
-/// Forces Dense/Conv2d forward onto the retained naive reference kernels.
-/// Process-global A/B switch for bench_inference; not used on any hot path.
-void set_force_naive(bool on);
-[[nodiscard]] bool force_naive();
-
 /// Sets the GEMM team size. 0 (the default) resolves to the DNND_THREADS env
 /// var, else to std::thread::hardware_concurrency(). Process-global; outputs
 /// are byte-identical for every value.
@@ -106,16 +100,6 @@ class [[nodiscard]] ThreadsGuard {
 /// when threading is off, the work is too small to amortise a region, or the
 /// caller is already inside a pool region (nested parallelism runs serial).
 [[nodiscard]] usize plan_teams(usize items, usize macs);
-
-/// Packs an N x K int8 code matrix with dequant-on-load: the packed panel
-/// holds float(q) * scale, which is bit-for-bit the materialization
-/// arithmetic of quant::QuantizedModel -- so a GEMM over this panel is
-/// byte-identical to one over the packed dequantized float weights.
-void pack_b_int8(const i8* q, usize N, usize K, float scale, float* packed);
-
-/// Flat position of B element (n, k) inside the packed-panel layout; the
-/// fused int8 path uses it to update a single panel float per bit flip.
-[[nodiscard]] usize packed_index(usize n, usize k, usize K);
 
 // ---- true-integer int8 path (DNND_INT8 regime) ------------------------------
 // B stays in raw int8 codes (no dequantization), A is quantized per call to

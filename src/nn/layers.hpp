@@ -38,8 +38,8 @@ struct ParamRef {
   /// incrementally re-evaluate after the parameter is perturbed.
   usize top_layer = 0;
   /// The layer object the parameter belongs to (the innermost one, not a
-  /// wrapping Sequential). QuantizedModel uses it to attach resident packed
-  /// weight panels to Dense/Conv2d for the fused int8 forward path.
+  /// wrapping Sequential). QuantizedModel uses it to attach the int8 code
+  /// panel to Dense/Conv2d for the true-integer forward path.
   Layer* owner = nullptr;
 };
 
@@ -72,26 +72,13 @@ class Layer {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Fused int8 residency: `panel` is a pre-packed weight panel (gemm::pack_b
-  /// layout over the layer's {dim(0), size/dim(0)} weight matrix) that the
-  /// provider (quant::QuantizedModel) keeps bit-identical to
-  /// pack_b(weight) at all times. Layers whose forward lowers onto a packed
-  /// GEMM B operand (Dense, Conv2d) consume it directly instead of re-packing
-  /// `weight` every call; for every other layer attaching is inert.
-  void attach_packed_weight(const float* panel) { resident_pack_ = panel; }
-  void detach_packed_weight(const float* panel) {
-    if (resident_pack_ == panel) resident_pack_ = nullptr;
-  }
   /// Guard hook for code that mutates parameter tensors directly instead of
   /// through quant::QuantizedModel (Model::load_state, the optimizer): drops
-  /// any attached panel (float and int8) so forward falls back to reading the
-  /// float weights -- slower but never stale. QuantizedModel::set_fused(true)
-  /// re-attaches.
-  void drop_packed_weight() {
-    resident_pack_ = nullptr;
-    int8_pack_ = {};
-  }
-  [[nodiscard]] const float* packed_weight() const { return resident_pack_; }
+  /// the attached int8 code panel, whose codes no longer match the floats, so
+  /// forward falls back to the float path over the mutated weights -- never
+  /// stale. QuantizedModel::materialize() re-attaches. The float path always
+  /// packs `weight` itself and needs no guard.
+  void drop_packed_weight() { int8_pack_ = {}; }
 
   /// True-integer int8 residency (the DNND_INT8 regime): raw weight codes in
   /// gemm::pack_b_q8 layout plus the symmetric scales needed to requantize.
@@ -122,7 +109,6 @@ class Layer {
 
  private:
   std::unique_ptr<Workspace> legacy_ws_;  ///< lazily created for the wrappers
-  const float* resident_pack_ = nullptr;
   Int8Pack int8_pack_;
   float* act_probe_ = nullptr;
 };

@@ -1,11 +1,9 @@
 // Retained naive reference kernels: verbatim copies of the original
 // hand-rolled Dense/Conv2d forward loops that the GEMM engine replaced.
 //
-// They exist for two reasons: (1) tests/test_gemm.cpp property-checks the
-// lowered GEMM/im2col path against them for bitwise-identical outputs over
-// randomized shapes, and (2) gemm::set_force_naive(true) routes the layers
-// back onto them so bench_inference can measure an honest naive-vs-engine
-// speedup on the same binary.
+// They are the test oracle: tests/test_gemm.cpp property-checks the lowered
+// GEMM/im2col path against them for bitwise-identical outputs over
+// randomized shapes. No layer forward calls them.
 #pragma once
 
 #include "nn/tensor.hpp"

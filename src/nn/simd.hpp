@@ -1,5 +1,5 @@
 // Explicit SIMD microkernels for the GEMM register tiles, with runtime ISA
-// dispatch (AVX2 / NEON / scalar).
+// dispatch (AVX2 on x86 CPUs that have it, the scalar loops everywhere else).
 //
 // The GEMM's 8-wide packed panels put one output COLUMN in each vector lane:
 // a microkernel step broadcasts one A element and does lane-wise
@@ -11,19 +11,13 @@
 // scalar loop `for r: acc[r] += av * p[r]`. Vectorizing ACROSS the eight
 // independent accumulators (never within one reduction) means no terms are
 // ever reassociated or fused, so the SIMD path is byte-identical to the
-// scalar path by construction, on every ISA. The build pins
-// -ffp-contract=off so the scalar path cannot silently become fused either
-// (tests/test_gemm.cpp sweeps simd-vs-scalar byte equality over randomized
-// shapes; the campaign baseline gates it end to end).
+// scalar path by construction. The build pins -ffp-contract=off so the
+// scalar path cannot silently become fused either (tests/test_gemm.cpp
+// sweeps simd-vs-scalar byte equality over randomized shapes; the campaign
+// baseline gates it end to end). There is no fused multiply-add variant:
+// the float forward has exactly one numeric result.
 //
-// The one deliberate exception is the opt-in FMA fast path (DNND_FMA=1 /
-// set_fma_override): it uses explicit fused multiply-add intrinsics, which
-// round once instead of twice per term and may therefore diverge from the
-// scalar path in the last ulp. It is excluded from every zero-tolerance
-// byte gate and exists purely as a speed/accuracy trade the operator must
-// ask for.
-//
-// The third numeric regime is the true-integer int8 path (DNND_INT8=1):
+// The second numeric regime is the true-integer int8 path (DNND_INT8=1):
 // u8xs8 -> s16 -> s32 microkernels over raw weight codes with int32
 // accumulators and a float requantization epilogue. Integer addition is
 // associative, so unlike the float kernels the AVX2 and scalar int8 variants
@@ -36,7 +30,6 @@
 //
 // Knobs (resolved per kernel selection, overridable in-process):
 //   DNND_SIMD=0   force the scalar microkernels (CI's forced-scalar leg)
-//   DNND_FMA=1    enable the fused fast path (divergent rounding allowed)
 //   DNND_INT8=1   true-integer int8 forward for layers with quantized weights
 #pragma once
 
@@ -45,12 +38,12 @@
 namespace dnnd::nn::simd {
 
 /// Instruction set a microkernel pair was compiled for. Runtime dispatch
-/// picks the best one the CPU supports (AVX2 via cpuid on x86, NEON on
-/// aarch64) unless forced scalar.
-enum class Isa : u32 { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+/// picks AVX2 when cpuid reports it, unless forced scalar; every other
+/// target runs the scalar kernels.
+enum class Isa : u32 { kScalar = 0, kAvx2 = 1 };
 
-/// Stable lowercase name ("scalar", "avx2", "neon") -- the `simd` field of
-/// the bench_inference JSON.
+/// Stable lowercase name ("scalar", "avx2") -- the `simd` field of the
+/// bench_inference JSON.
 [[nodiscard]] const char* isa_name(Isa isa);
 
 /// 8x8 register-tile microkernel: for k ascending then i in [0,8),
@@ -67,12 +60,10 @@ struct Kernels {
   Tile8Fn tile8;
   Row1Fn row1;
   Isa isa;
-  bool fma;  ///< true only on the opt-in divergent fast path
 };
 
 /// The microkernels the GEMM should use right now: best supported ISA,
-/// downgraded by the scalar override / DNND_SIMD=0, upgraded to the fused
-/// variants by the FMA override / DNND_FMA=1 (when the CPU has FMA).
+/// downgraded by the scalar override / DNND_SIMD=0.
 [[nodiscard]] Kernels active_kernels();
 
 /// The ISA active_kernels() currently resolves to (knobs applied).
@@ -88,9 +79,6 @@ struct Kernels {
 void set_scalar_override(int v);              ///< -1 env, 0 simd on, 1 force scalar
 [[nodiscard]] int scalar_override();
 [[nodiscard]] bool force_scalar();            ///< resolved DNND_SIMD knob
-void set_fma_override(int v);                 ///< -1 env, 0 off, 1 fused fast path
-[[nodiscard]] int fma_override();
-[[nodiscard]] bool fma_enabled();             ///< resolved DNND_FMA knob
 void set_int8_override(int v);                ///< -1 env, 0 off, 1 integer path
 [[nodiscard]] int int8_override();
 [[nodiscard]] bool int8_enabled();            ///< resolved DNND_INT8 knob
@@ -122,8 +110,8 @@ using I8Tile8Fn = void (*)(usize KQ, const i8* a, usize astride, const i8* panel
 /// Single-row remainder of the int8 tile (row quad kq at a + kq*astride).
 using I8Row1Fn = void (*)(usize KQ, const i8* a, usize astride, const i8* panel, i32* acc);
 
-/// A resolved int8 microkernel pair. Only AVX2 has a vector variant (NEON
-/// falls back to the scalar reference); both produce identical bytes.
+/// A resolved int8 microkernel pair. AVX2 has a vector variant; both
+/// produce identical bytes.
 struct I8Kernels {
   I8Tile8Fn tile8;
   I8Row1Fn row1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -30,8 +29,8 @@ void validate_bit_key_bounds(usize layer_count, usize max_layer_size) {
 
 namespace {
 
-/// One weight's float and packed-panel values from its code -- the single
-/// materialization arithmetic everything (full pass, flip, restore) shares.
+/// One weight's float value from its code -- the single materialization
+/// arithmetic everything (full pass, flip, restore) shares.
 inline float dequant(i8 q, float scale) { return static_cast<float>(q) * scale; }
 
 }  // namespace
@@ -62,7 +61,6 @@ QuantizedModel::QuantizedModel(nn::Model& model) : model_(model) {
   for (const auto& l : layers_) max_layer_size = std::max(max_layer_size, l.size());
   detail::validate_bit_key_bounds(layers_.size(), max_layer_size);
   materialize();
-  for (auto& l : layers_) attach_pack(l, true);
 }
 
 QuantizedModel::~QuantizedModel() {
@@ -70,8 +68,6 @@ QuantizedModel::~QuantizedModel() {
 }
 
 void QuantizedModel::build_pack(QuantizedLayer& l) {
-  l.packed.resize(nn::gemm::packed_b_size(l.pack_rows, l.pack_cols));
-  nn::gemm::pack_b_int8(l.q.data(), l.pack_rows, l.pack_cols, l.scale, l.packed.data());
   l.packed_q.resize(nn::gemm::packed_b_int8_size(l.pack_rows, l.pack_cols));
   nn::gemm::pack_b_q8(l.q.data(), l.pack_rows, l.pack_cols, l.packed_q.data());
 }
@@ -79,20 +75,10 @@ void QuantizedModel::build_pack(QuantizedLayer& l) {
 void QuantizedModel::attach_pack(QuantizedLayer& l, bool on) {
   if (l.owner == nullptr) return;
   if (on) {
-    l.owner->attach_packed_weight(l.packed.data());
     l.owner->attach_int8_pack({l.packed_q.data(), l.scale, l.act_scale});
   } else {
-    l.owner->detach_packed_weight(l.packed.data());
     l.owner->detach_int8_pack(l.packed_q.data());
   }
-}
-
-void QuantizedModel::set_fused(bool on) {
-  // Attaching is idempotent and deliberately not short-circuited when already
-  // fused: set_fused(true) also recovers panels dropped by a direct-mutation
-  // guard (Model::load_state, optimizer steps) after a materialize().
-  fused_ = on;
-  for (auto& l : layers_) attach_pack(l, on);
 }
 
 u64 QuantizedModel::total_weights() const {
@@ -107,18 +93,26 @@ void QuantizedModel::materialize() {
       (*l.value)[i] = dequant(l.q[i], l.scale);
     }
     build_pack(l);
+    // Floats, codes, and panel agree again: (re)attach, which also recovers
+    // a panel dropped by a direct-mutation guard (Layer::drop_packed_weight).
+    attach_pack(l, true);
   }
   model_.invalidate_from(0);
 }
 
 void QuantizedModel::flip(const BitLocation& loc) {
   QuantizedLayer& l = layers_.at(loc.layer);
-  assert(loc.index < l.size());
+  // Checked in every build: an unchecked index would write past the codes,
+  // the float tensor, and the code panel at once.
+  if (loc.index >= l.size() || loc.bit > 7) {
+    throw std::out_of_range("QuantizedModel::flip: bit (" + std::to_string(loc.layer) + ", " +
+                            std::to_string(loc.index) + ", " + std::to_string(loc.bit) +
+                            ") outside layer " + l.name + " of " + std::to_string(l.size()) +
+                            " weights");
+  }
   const i8 code = flip_bit_value(l.q[loc.index], loc.bit);
   l.q[loc.index] = code;
   (*l.value)[loc.index] = dequant(code, l.scale);
-  l.packed[nn::gemm::packed_index(loc.index / l.pack_cols, loc.index % l.pack_cols,
-                                  l.pack_cols)] = dequant(code, l.scale);
   l.packed_q[nn::gemm::packed_q8_index(loc.index / l.pack_cols, loc.index % l.pack_cols,
                                        l.pack_cols)] = code;
   // Keep the incremental-forward cache honest: activations computed from the
@@ -135,8 +129,6 @@ void QuantizedModel::set_q(usize layer, usize index, i8 code) {
   if (l.q.at(index) == code) return;  // unchanged: floats and cache stay valid
   l.q[index] = code;
   (*l.value)[index] = dequant(code, l.scale);
-  l.packed[nn::gemm::packed_index(index / l.pack_cols, index % l.pack_cols, l.pack_cols)] =
-      dequant(code, l.scale);
   l.packed_q[nn::gemm::packed_q8_index(index / l.pack_cols, index % l.pack_cols,
                                        l.pack_cols)] = code;
   model_.invalidate_from(l.net_layer);
@@ -149,10 +141,24 @@ std::vector<std::vector<i8>> QuantizedModel::snapshot() const {
   return snap;
 }
 
-void QuantizedModel::restore(const std::vector<std::vector<i8>>& snap) {
-  assert(snap.size() == layers_.size());
+void QuantizedModel::check_snapshot_shape(const std::vector<std::vector<i8>>& snap) const {
+  if (snap.size() != layers_.size()) {
+    throw std::invalid_argument("QuantizedModel: snapshot has " + std::to_string(snap.size()) +
+                                " layers, model has " + std::to_string(layers_.size()));
+  }
   for (usize i = 0; i < layers_.size(); ++i) {
-    assert(snap[i].size() == layers_[i].q.size());
+    if (snap[i].size() != layers_[i].size()) {
+      throw std::invalid_argument("QuantizedModel: snapshot layer " + std::to_string(i) +
+                                  " has " + std::to_string(snap[i].size()) + " codes, " +
+                                  layers_[i].name + " has " +
+                                  std::to_string(layers_[i].size()));
+    }
+  }
+}
+
+void QuantizedModel::restore(const std::vector<std::vector<i8>>& snap) {
+  check_snapshot_shape(snap);  // all rows, before the first write
+  for (usize i = 0; i < layers_.size(); ++i) {
     for (usize j = 0; j < layers_[i].q.size(); ++j) {
       set_q(i, j, snap[i][j]);  // no-op (no invalidation) for unchanged codes
     }
@@ -184,9 +190,13 @@ void QuantizedModel::calibrate_int8(const nn::Tensor& x) {
     if (l.owner != nullptr) l.owner->set_act_probe(nullptr);
     l.act_scale = l.act_amax > 0.0f ? l.act_amax / 127.0f : 1.0f;
   }
-  // Re-attach so the owners see the frozen act_scale (attach is idempotent).
-  if (fused_) {
-    for (auto& l : layers_) attach_pack(l, true);
+  // Re-attach so the owners see the frozen act_scale -- but only panels that
+  // are still attached: one a direct-mutation guard dropped holds stale codes
+  // until materialize() re-attaches it.
+  for (auto& l : layers_) {
+    if (l.owner != nullptr && l.owner->int8_pack().panel == l.packed_q.data()) {
+      attach_pack(l, true);
+    }
   }
   // The recorded activation cache is float-path output; an integer forward
   // must not splice onto it via forward_from.
@@ -199,7 +209,7 @@ void QuantizedModel::ensure_int8_calibrated(const nn::Tensor& x) {
 }
 
 u64 QuantizedModel::hamming_distance(const std::vector<std::vector<i8>>& snap) const {
-  assert(snap.size() == layers_.size());
+  check_snapshot_shape(snap);
   u64 dist = 0;
   for (usize i = 0; i < layers_.size(); ++i) {
     for (usize j = 0; j < layers_[i].q.size(); ++j) {

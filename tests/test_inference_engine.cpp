@@ -1,8 +1,7 @@
 // Inference-engine behaviour: incremental re-evaluation (forward_from) is
-// bitwise identical to a full fresh forward for a flip in ANY layer, the
-// fused int8 resident-panel path is byte-identical to the dequantize-
-// materialize path across arbitrary flip sequences, the incremental
-// evaluation helpers match their full-pass counterparts, results are
+// bitwise identical to a full fresh forward for a flip in ANY layer and
+// after a snapshot restore, the incremental evaluation helpers match their
+// full-pass counterparts, results are
 // byte-identical at every GEMM team size, and the workspace arena reaches a
 // zero-allocation steady state -- serial and threaded.
 #include <gtest/gtest.h>
@@ -14,6 +13,7 @@
 #include "nn/gemm.hpp"
 #include "nn/layers.hpp"
 #include "nn/model.hpp"
+#include "nn/simd.hpp"
 #include "quant/quantizer.hpp"
 #include "test_util.hpp"
 
@@ -98,6 +98,19 @@ TEST(ForwardFrom, OutOfOrderProbesStayExact) {
     qm_twin.flip(loc);
     EXPECT_TRUE(bitwise_equal(incremental, full)) << "probe " << probe << " layer " << l;
   }
+
+  // Restore over a cache the restore itself invalidates: commit flips on
+  // both models, roll the probed one back to a snapshot, and re-probe from
+  // layer 0 -- it must land on the twin's pristine logits byte for byte.
+  const auto snap = qm.snapshot();
+  for (int f = 0; f < 4; ++f) {
+    const usize l = order_rng.uniform(qm.num_layers());
+    qm.flip({l, order_rng.uniform(qm.layer(l).size()), static_cast<u32>(order_rng.uniform(8))});
+  }
+  probed->forward_from(0);
+  qm.restore(snap);
+  EXPECT_TRUE(bitwise_equal(probed->forward_from(0), twin->forward_cached(x)))
+      << "forward_from(0) after restore diverged from the twin";
 }
 
 TEST(ForwardFrom, LayerZeroEqualsFullForward) {
@@ -179,63 +192,6 @@ TEST(Workspace, ZeroAllocAcrossIncrementalProbes) {
     qm.flip({l, 0, 7});
   }
   EXPECT_EQ(m->workspace().alloc_events(), warm);
-}
-
-TEST(FusedInt8, ProbeForwardMatchesMaterializedPathAcrossRandomFlips) {
-  // Twin models with identical weights: `fused` keeps the resident packed
-  // panels attached (a flip updates one code + one panel float), `plain` has
-  // them detached so every forward re-packs the materialized float weights.
-  // Every probe -- including out-of-order flip/unflip sequences riding
-  // forward_from over a deliberately dirty cache -- must agree byte-for-byte.
-  sys::Rng rng_a(51), rng_b(51);
-  auto fused_model = make_conv_dense(rng_a);
-  auto plain_model = make_conv_dense(rng_b);
-  sys::Rng xrng(52);
-  const Tensor x = random_input(3, xrng);
-  quant::QuantizedModel fused(*fused_model);
-  quant::QuantizedModel plain(*plain_model);
-  plain.set_fused(false);
-  ASSERT_TRUE(fused.fused());
-  ASSERT_FALSE(plain.fused());
-
-  EXPECT_TRUE(bitwise_equal(fused_model->forward_cached(x), plain_model->forward_cached(x)));
-
-  sys::Rng order(53);
-  for (int probe = 0; probe < 16; ++probe) {
-    const usize l = order.uniform(fused.num_layers());
-    const quant::BitLocation loc{l, order.uniform(fused.layer(l).size()),
-                                 static_cast<u32>(order.uniform(8))};
-    fused.flip(loc);
-    plain.flip(loc);
-    const Tensor a = fused_model->forward_from(fused.layer(l).net_layer);
-    const Tensor b = plain_model->forward_from(plain.layer(l).net_layer);
-    EXPECT_TRUE(bitwise_equal(a, b)) << "probe " << probe << " layer " << l;
-    if (probe % 3 != 0) {  // leave some flips committed, unflip the rest
-      fused.flip(loc);
-      plain.flip(loc);
-    }
-  }
-  // Restore-to-snapshot (the diff-aware path) must land both models on
-  // byte-identical logits again.
-  const auto snap = fused.snapshot();
-  plain.restore(snap);
-  fused.restore(snap);
-  EXPECT_TRUE(bitwise_equal(fused_model->forward_from(0), plain_model->forward_from(0)));
-}
-
-TEST(FusedInt8, SetFusedTogglesWithoutChangingResults) {
-  sys::Rng rng(54);
-  auto m = make_conv_dense(rng);
-  sys::Rng xrng(55);
-  const Tensor x = random_input(2, xrng);
-  quant::QuantizedModel qm(*m);
-  const Tensor with_fused = m->forward_cached(x);
-  qm.set_fused(false);
-  const Tensor without = m->forward_cached(x);
-  qm.set_fused(true);
-  const Tensor again = m->forward_cached(x);
-  EXPECT_TRUE(bitwise_equal(with_fused, without));
-  EXPECT_TRUE(bitwise_equal(with_fused, again));
 }
 
 TEST(IncrementalEval, MatchesFullEvaluationAfterFlipBursts) {
@@ -384,11 +340,13 @@ TEST(Workspace, ZeroAllocSteadyStateUnderThreadedProbes) {
       << "threaded steady-state probes reallocated arena storage";
 }
 
-TEST(FusedInt8, LoadStateDropsResidentPanelsInsteadOfGoingStale) {
+TEST(Int8Panel, LoadStateDropsCodePanelsInsteadOfGoingStale) {
   // Direct weight mutation bypassing the QuantizedModel (Model::load_state)
-  // must not leave inference reading a stale resident panel: the guard drops
-  // the panels and invalidates the cache, so both the plain forward and the
-  // incremental evaluation honor the restored weights.
+  // must not leave the integer regime reading stale weight codes: the guard
+  // drops the int8 panels and invalidates the cache, so both the plain
+  // forward and the incremental evaluation honor the restored float weights.
+  testutil::SimdGuard simd_guard;
+  simd::set_int8_override(1);
   sys::Rng rng(64);
   auto m = make_conv_dense(rng);
   sys::Rng xrng(65);
@@ -399,12 +357,28 @@ TEST(FusedInt8, LoadStateDropsResidentPanelsInsteadOfGoingStale) {
   const double clean_loss = m->evaluate_batch(x, y).loss;
 
   quant::QuantizedModel qm(*m);  // attaches panels, quantizes the weights
-  m->evaluate_batch_incremental(x, y);  // cache now holds quantized activations
+  m->evaluate_batch_incremental(x, y);  // cache now holds int8-path activations
   m->load_state(clean);
   EXPECT_TRUE(bitwise_equal(m->forward_cached(x), clean_logits))
-      << "forward read a stale resident panel after load_state";
+      << "forward read a stale int8 panel after load_state";
   EXPECT_EQ(m->evaluate_batch_incremental(x, y).loss, clean_loss)
       << "incremental evaluation reused a stale cache after load_state";
+
+  // materialize() rewrites the floats from the codes and re-attaches the
+  // panels: the integer regime is back on, matching a fresh quantized twin.
+  qm.materialize();
+  sys::Rng twin_rng(64);
+  auto twin = make_conv_dense(twin_rng);
+  quant::QuantizedModel qm_twin(*twin);
+  EXPECT_TRUE(bitwise_equal(m->forward_cached(x), twin->forward_cached(x)))
+      << "materialize did not restore the int8 forward";
+
+  // Calibration refreshes only attached panels; it must not re-attach the
+  // stale ones a second load_state drops.
+  m->load_state(clean);
+  qm.calibrate_int8(x);
+  EXPECT_TRUE(bitwise_equal(m->forward_cached(x), clean_logits))
+      << "calibrate_int8 re-attached a stale int8 panel after load_state";
 }
 
 TEST(ForwardFrom, WorksOnResNetBlocks) {

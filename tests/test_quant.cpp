@@ -147,6 +147,46 @@ TEST_F(QuantFixture, MaterializeRewritesEverything) {
                   static_cast<float>(qm_.get_q(0, 0)) * qm_.layer(0).scale);
 }
 
+TEST_F(QuantFixture, FlipOutsideTheLayerThrowsBeforeAnyWrite) {
+  // Checked in every build, not by assert: an unchecked index writes past
+  // the codes, the float tensor, and the int8 panel at once.
+  const auto snap = qm_.snapshot();
+  const std::vector<float> floats(qm_.layer(0).value->data(),
+                                  qm_.layer(0).value->data() + qm_.layer(0).size());
+  const std::vector<i8> panel = qm_.layer(0).packed_q;
+  EXPECT_THROW(qm_.flip({0, qm_.layer(0).size(), 7}), std::out_of_range);
+  EXPECT_THROW(qm_.flip({0, 0, 8}), std::out_of_range);
+  EXPECT_THROW(qm_.flip({qm_.num_layers(), 0, 7}), std::out_of_range);
+  EXPECT_THROW(qm_.set_q(0, qm_.layer(0).size(), 1), std::out_of_range);
+  EXPECT_EQ(qm_.hamming_distance(snap), 0u);
+  EXPECT_EQ(0, std::memcmp(floats.data(), qm_.layer(0).value->data(),
+                           floats.size() * sizeof(float)));
+  EXPECT_EQ(qm_.layer(0).packed_q, panel);
+}
+
+TEST_F(QuantFixture, RestoreRejectsMisshapenSnapshotBeforeAnyWrite) {
+  // A short row would be read past its end and a long one used to throw
+  // halfway through; either way the model must be left exactly as it was.
+  const auto clean = qm_.snapshot();
+  qm_.flip({0, 0, 7});
+  qm_.flip({1, 2, 3});
+  const auto dirty = qm_.snapshot();
+
+  auto short_row = clean;
+  short_row.back().pop_back();
+  auto long_row = clean;
+  long_row.back().push_back(0);
+  auto missing_layer = clean;
+  missing_layer.pop_back();
+  for (const auto* bad : {&short_row, &long_row, &missing_layer}) {
+    EXPECT_THROW(qm_.restore(*bad), std::invalid_argument);
+    EXPECT_THROW((void)qm_.hamming_distance(*bad), std::invalid_argument);
+    EXPECT_EQ(qm_.snapshot(), dirty) << "a rejected restore wrote codes";
+  }
+  qm_.restore(clean);
+  EXPECT_EQ(qm_.hamming_distance(clean), 0u);
+}
+
 // ------------------------------------------------------------ bit gradient --
 
 TEST_F(QuantFixture, FlipGainSignSemantics) {
