@@ -1,7 +1,6 @@
 #include "attack/deephammer.hpp"
 
 #include <array>
-#include <cassert>
 
 namespace dnnd::attack {
 
@@ -25,18 +24,21 @@ bool direction_matches(const rowhammer::VulnerableCell& cell, bool bit_is_set) {
 }
 }  // namespace
 
+bool DeepHammerAttack::frame_usable(const RowAddr& phys, const RowAddr& victim) const {
+  const auto& geo = device_.config().geo;
+  const u32 reserved = mapping_.config().reserved_rows_per_subarray;
+  if (phys.row == 0 || phys.row + 1 >= geo.rows_per_subarray) return false;  // need neighbours
+  if (phys.row >= geo.rows_per_subarray - reserved) return false;            // defense region
+  const RowAddr logical = remap_.to_logical(phys);
+  return logical == victim || mapping_.weights_in_row(logical) == 0;  // no other weights
+}
+
 std::optional<RowAddr> DeepHammerAttack::find_flippable_frame(const RowAddr& near, usize col,
                                                               u32 bit, bool bit_is_set) {
   const auto& geo = device_.config().geo;
-  const u32 reserved = mapping_.config().reserved_rows_per_subarray;
-  auto usable = [&](const RowAddr& phys) {
-    if (phys.row == 0 || phys.row + 1 >= geo.rows_per_subarray) return false;  // need neighbours
-    if (phys.row >= geo.rows_per_subarray - reserved) return false;            // defense region
-    const RowAddr logical = remap_.to_logical(phys);
-    return mapping_.weights_in_row(logical) == 0;  // must not hold victim weights
-  };
+  const RowAddr victim = remap_.to_logical(near);
   auto probe = [&](const RowAddr& phys) -> bool {
-    if (!usable(phys)) return false;
+    if (!frame_usable(phys, victim)) return false;
     const auto info = model_.cell_info(phys, col, bit);
     return info.has_value() && direction_matches(*info, bit_is_set);
   };
@@ -82,11 +84,16 @@ FlipAttempt DeepHammerAttack::attempt_flip(const quant::BitLocation& target) {
   RowAddr phys = remap_.to_physical(logical);
   const bool original_value = (device_.peek(phys, col) >> bit) & 1;
 
-  // Memory massaging: make sure the victim byte sits on a flippable cell.
+  // Memory massaging: make sure the victim byte sits on a flippable cell of
+  // a frame that can be hammered double-sided. A defense may have moved the
+  // row to a subarray edge, where one aggressor would not exist.
   auto ensure_flippable = [&]() -> bool {
     phys = remap_.to_physical(logical);
     const auto info = model_.cell_info(phys, col, bit);
-    if (info.has_value() && direction_matches(*info, original_value)) return true;
+    if (frame_usable(phys, logical) && info.has_value() &&
+        direction_matches(*info, original_value)) {
+      return true;
+    }
     const auto frame = find_flippable_frame(phys, col, bit, original_value);
     if (!frame.has_value()) return false;
     massage_into(logical, *frame);
@@ -98,7 +105,6 @@ FlipAttempt DeepHammerAttack::attempt_flip(const quant::BitLocation& target) {
 
   const u64 budget = cfg_.act_budget_multiplier * device_.config().t_rh;
   const Picoseconds t0 = device_.now();
-  [[maybe_unused]] const auto& geo = device_.config().geo;
   u64 used = 0;
   while (used < budget) {
     const RowAddr current = remap_.to_physical(logical);
@@ -108,9 +114,8 @@ FlipAttempt DeepHammerAttack::attempt_flip(const quant::BitLocation& target) {
       attempt.relocations_chased += 1;
       if (!ensure_flippable()) break;
     }
-    // Double-sided aggressors around the current frame (the frame search
-    // guarantees interior rows).
-    assert(phys.row > 0 && phys.row + 1 < geo.rows_per_subarray);
+    // Double-sided aggressors around the current frame (ensure_flippable
+    // guarantees an interior row).
     const std::array<RowAddr, 2> aggressors{RowAddr{phys.bank, phys.subarray, phys.row - 1},
                                             RowAddr{phys.bank, phys.subarray, phys.row + 1}};
     const u64 chunk = std::min<u64>(cfg_.check_interval, budget - used);

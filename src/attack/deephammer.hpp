@@ -52,6 +52,11 @@ class DeepHammerAttack {
   [[nodiscard]] const DeepHammerConfig& config() const { return cfg_; }
 
  private:
+  /// Can the victim be hammered double-sided in physical frame `phys`? It
+  /// must be interior to its subarray (both neighbours exist), outside the
+  /// defense's reserved rows, and hold no weights other than `victim`'s.
+  bool frame_usable(const dram::RowAddr& phys, const dram::RowAddr& victim) const;
+
   /// Finds a physical frame (not holding weights, not reserved) whose cell at
   /// (col, bit) flips in the direction needed to flip value `bit_is_set`.
   /// Stands in for the attacker's own template cache: tests verify that

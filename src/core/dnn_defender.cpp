@@ -74,6 +74,13 @@ void DnnDefender::tick() {
   }
 }
 
+u64 DnnDefender::quiet_horizon(const dram::ActPattern& /*p*/, u64 want) {
+  if (targets_.empty() || interval_ == 0) return want;
+  const Picoseconds now = device_.now();
+  if (next_due_ <= now) return 0;
+  return std::min<u64>(want, static_cast<u64>((next_due_ - now - 1) / device_.act_period()));
+}
+
 bool DnnDefender::is_target(const RowAddr& logical) const {
   return std::find(targets_.begin(), targets_.end(), logical) != targets_.end();
 }

@@ -43,6 +43,10 @@ class DnnDefender final : public defense::Mitigation {
   /// protected system pumps this from the attacker's post-ACT hook).
   void tick() override;
 
+  /// Quiet while no swap comes due: tick() after each of the next k ACTs
+  /// still sees the clock before `next_due_`.
+  u64 quiet_horizon(const dram::ActPattern& p, u64 want) override;
+
   /// True if `logical` is one of the defended target rows.
   [[nodiscard]] bool is_target(const dram::RowAddr& logical) const;
 

@@ -8,18 +8,23 @@ CounterBased::CounterBased(dram::DramDevice& device, dram::RowRemapper& remap,
                            CounterBasedConfig cfg)
     : Mitigation(device, remap), cfg_(std::move(cfg)) {}
 
-u64 CounterBased::track(const RowAddr& row) {
-  const auto& geo = device_.config().geo;
+void CounterBased::charge_updates(u64 n) {
   if (cfg_.counters_in_dram) {
     // Counter update pays a DRAM access (the Counter-per-Row / tree /
     // Hydra-miss path); modelled as one burst's worth of time and energy.
-    device_.stats().energy += device_.config().energy.rd_burst;
-    stats_.energy_spent += device_.config().energy.rd_burst;
+    const Femtojoules e = static_cast<Femtojoules>(n) * device_.config().energy.rd_burst;
+    device_.stats().energy += e;
+    stats_.energy_spent += e;
   } else {
-    charge_tracker_access();
+    charge_tracker_access(n);
   }
+}
+
+u64 CounterBased::track(const RowAddr& row) {
+  const auto& geo = device_.config().geo;
+  charge_updates(1);
   const u64 id = flat_row_id(geo, row);
-  if (cfg_.tracker == TrackerKind::kPerRow || cfg_.tracker == TrackerKind::kTree) {
+  if (exact_counts()) {
     return ++counts_[id];  // exact counting, capacity = all rows
   }
   // Summary trackers: bounded entries per bank, Misra-Gries eviction.
@@ -45,11 +50,30 @@ u64 CounterBased::track(const RowAddr& row) {
 void CounterBased::on_activate(const RowAddr& row, Picoseconds /*now*/) {
   if (in_maintenance()) return;
   const u64 count = track(row);
-  const u64 threshold = static_cast<u64>(
-      cfg_.refresh_threshold_fraction * static_cast<double>(device_.config().t_rh));
+  const u64 threshold = t_rh_fraction(cfg_.refresh_threshold_fraction);
   if (threshold == 0 || count < threshold) return;
   counts_[flat_row_id(device_.config().geo, row)] = 0;
   maintenance([&] { refresh_neighbors(row); });
+}
+
+u64 CounterBased::quiet_horizon(const dram::ActPattern& p, u64 want) {
+  const auto& geo = device_.config().geo;
+  return counter_horizon(p, want, t_rh_fraction(cfg_.refresh_threshold_fraction),
+                         [&](const RowAddr& row) -> std::optional<u64> {
+                           const auto it = counts_.find(flat_row_id(geo, row));
+                           if (it != counts_.end()) return it->second;
+                           if (exact_counts()) return 0;
+                           return std::nullopt;
+                         });
+}
+
+void CounterBased::skip_quiet(const dram::ActPattern& p, u64 k) {
+  const auto& geo = device_.config().geo;
+  charge_updates(k);
+  for (usize j = 0; j < p.aggressors.size(); ++j) {
+    const u64 acts = p.acts_of(j, k);
+    if (acts > 0) counts_[flat_row_id(geo, p.aggressors[j])] += acts;
+  }
 }
 
 void CounterBased::refresh_neighbors(const RowAddr& hot) {

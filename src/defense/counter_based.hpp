@@ -37,6 +37,11 @@ class CounterBased : public Mitigation {
 
   [[nodiscard]] std::string name() const override { return cfg_.name; }
   void on_activate(const dram::RowAddr& row, Picoseconds now) override;
+  /// Quiet until an aggressor's count reaches the refresh threshold; a
+  /// summary tracker (kMisraGries, kHybrid) also needs an entry for every
+  /// aggressor already.
+  u64 quiet_horizon(const dram::ActPattern& p, u64 want) override;
+  void skip_quiet(const dram::ActPattern& p, u64 k) override;
 
   [[nodiscard]] u64 refreshes_issued() const { return refreshes_; }
 
@@ -49,7 +54,12 @@ class CounterBased : public Mitigation {
 
  private:
   void refresh_neighbors(const dram::RowAddr& hot);
+  /// Charges the cost of `n` counter updates.
+  void charge_updates(u64 n);
   u64 track(const dram::RowAddr& row);
+  [[nodiscard]] bool exact_counts() const {
+    return cfg_.tracker == TrackerKind::kPerRow || cfg_.tracker == TrackerKind::kTree;
+  }
 
   CounterBasedConfig cfg_;
   std::unordered_map<u64, u64> counts_;

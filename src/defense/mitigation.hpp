@@ -8,6 +8,8 @@
 // overheads are measured, not asserted.
 #pragma once
 
+#include <algorithm>
+#include <optional>
 #include <string>
 
 #include "dram/dram_device.hpp"
@@ -46,6 +48,11 @@ class Mitigation : public dram::RowEventListener {
   void on_activate(const dram::RowAddr&, Picoseconds) override {}
   void on_restore(const dram::RowAddr&, Picoseconds, dram::RestoreKind) override {}
 
+  // A mitigation's quiet_horizon (RowEventListener, default 0) covers its
+  // tick() as well as its event handlers: the protected system runs tick()
+  // after every attacker ACT, and asks the same horizon before skipping
+  // those ticks.
+
   [[nodiscard]] const DefenseStats& stats() const { return stats_; }
 
  protected:
@@ -64,10 +71,33 @@ class Mitigation : public dram::RowEventListener {
     in_maintenance_ = false;
   }
 
-  /// Charges one tracker access (SRAM lookup + energy, no bus time).
-  void charge_tracker_access() {
-    stats_.tracker_accesses += 1;
-    stats_.energy_spent += device_.config().energy.sram_access;
+  /// Charges `n` tracker accesses (SRAM lookup + energy, no bus time).
+  void charge_tracker_access(u64 n = 1) {
+    stats_.tracker_accesses += n;
+    stats_.energy_spent += static_cast<Femtojoules>(n) * device_.config().energy.sram_access;
+  }
+
+  /// `fraction` of T_RH in ACTs, truncated (a counter threshold).
+  [[nodiscard]] u64 t_rh_fraction(double fraction) const {
+    return static_cast<u64>(fraction * static_cast<double>(device_.config().t_rh));
+  }
+
+  /// Quiet horizon of a per-row activation counter that triggers
+  /// maintenance when it reaches `threshold` (0 = never): the largest
+  /// k <= want for which no aggressor's count reaches it within the next k
+  /// ACTs of `p`. `count_of(row)` is the row's count, or nullopt when
+  /// counting it would insert into or evict from a tracker.
+  template <typename CountOf>
+  static u64 counter_horizon(const dram::ActPattern& p, u64 want, u64 threshold,
+                             CountOf&& count_of) {
+    for (usize j = 0; j < p.aggressors.size(); ++j) {
+      const std::optional<u64> count = count_of(p.aggressors[j]);
+      if (!count.has_value()) return 0;
+      if (threshold == 0) continue;
+      const u64 budget = *count < threshold ? threshold - 1 - *count : 0;
+      want = std::min(want, p.max_acts_with(j, budget));
+    }
+    return want;
   }
 
   [[nodiscard]] bool in_maintenance() const { return in_maintenance_; }

@@ -34,10 +34,27 @@ u64 Rrs::track(const RowAddr& row) {
 void Rrs::on_activate(const RowAddr& row, Picoseconds /*now*/) {
   if (in_maintenance()) return;
   const u64 estimate = track(row);
-  const u64 threshold = static_cast<u64>(
-      cfg_.swap_threshold_fraction * static_cast<double>(device_.config().t_rh));
+  const u64 threshold = t_rh_fraction(cfg_.swap_threshold_fraction);
   if (estimate < threshold || threshold == 0) return;
   maintenance([&] { swap_with_random(row); });
+}
+
+u64 Rrs::quiet_horizon(const dram::ActPattern& p, u64 want) {
+  const auto& geo = device_.config().geo;
+  return counter_horizon(p, want, t_rh_fraction(cfg_.swap_threshold_fraction),
+                         [&](const RowAddr& row) -> std::optional<u64> {
+                           const auto it = counts_.find(flat_row_id(geo, row));
+                           if (it == counts_.end()) return std::nullopt;
+                           return it->second;
+                         });
+}
+
+void Rrs::skip_quiet(const dram::ActPattern& p, u64 k) {
+  const auto& geo = device_.config().geo;
+  charge_tracker_access(k);
+  for (usize j = 0; j < p.aggressors.size(); ++j) {
+    counts_.at(flat_row_id(geo, p.aggressors[j])) += p.acts_of(j, k);
+  }
 }
 
 void Rrs::swap_with_random(const RowAddr& hot) {

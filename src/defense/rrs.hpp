@@ -28,6 +28,10 @@ class Rrs : public Mitigation {
 
   [[nodiscard]] std::string name() const override { return "RRS"; }
   void on_activate(const dram::RowAddr& row, Picoseconds now) override;
+  /// Quiet while every aggressor already holds a tracker entry below the
+  /// swap threshold.
+  u64 quiet_horizon(const dram::ActPattern& p, u64 want) override;
+  void skip_quiet(const dram::ActPattern& p, u64 k) override;
 
   [[nodiscard]] u64 swaps_performed() const { return swaps_; }
 

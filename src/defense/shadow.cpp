@@ -14,8 +14,7 @@ void Shadow::on_activate(const RowAddr& row, Picoseconds /*now*/) {
   // SHADOW keeps its activation metadata inside DRAM (no SRAM cost).
   const u64 id = flat_row_id(device_.config().geo, row);
   const u64 count = ++act_counts_[id];
-  const u64 threshold = static_cast<u64>(
-      cfg_.shuffle_threshold_fraction * static_cast<double>(device_.config().t_rh));
+  const u64 threshold = t_rh_fraction(cfg_.shuffle_threshold_fraction);
   if (count < threshold || threshold == 0) return;
   act_counts_[id] = 0;
   maintenance([&] {
@@ -25,6 +24,23 @@ void Shadow::on_activate(const RowAddr& row, Picoseconds /*now*/) {
       shuffle_victim(RowAddr{row.bank, row.subarray, row.row + 1});
     }
   });
+}
+
+u64 Shadow::quiet_horizon(const dram::ActPattern& p, u64 want) {
+  const auto& geo = device_.config().geo;
+  return counter_horizon(p, want, t_rh_fraction(cfg_.shuffle_threshold_fraction),
+                         [&](const RowAddr& row) -> std::optional<u64> {
+                           const auto it = act_counts_.find(flat_row_id(geo, row));
+                           return it == act_counts_.end() ? 0 : it->second;
+                         });
+}
+
+void Shadow::skip_quiet(const dram::ActPattern& p, u64 k) {
+  const auto& geo = device_.config().geo;
+  for (usize j = 0; j < p.aggressors.size(); ++j) {
+    const u64 acts = p.acts_of(j, k);
+    if (acts > 0) act_counts_[flat_row_id(geo, p.aggressors[j])] += acts;
+  }
 }
 
 void Shadow::shuffle_victim(const RowAddr& v) {

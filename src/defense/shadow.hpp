@@ -29,6 +29,9 @@ class Shadow : public Mitigation {
 
   [[nodiscard]] std::string name() const override { return "SHADOW"; }
   void on_activate(const dram::RowAddr& row, Picoseconds now) override;
+  /// Quiet until an aggressor's count reaches the shuffle threshold.
+  u64 quiet_horizon(const dram::ActPattern& p, u64 want) override;
+  void skip_quiet(const dram::ActPattern& p, u64 k) override;
 
   [[nodiscard]] u64 shuffles_performed() const { return shuffles_; }
 

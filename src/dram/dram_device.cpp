@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace dnnd::dram {
 
@@ -18,7 +19,38 @@ DramDevice::DramDevice(DramConfig cfg) : cfg_(cfg) {
   open_row_.assign(cfg_.geo.banks, -1);
 }
 
+void DramDevice::check_bank(u32 bank) const {
+  if (bank >= cfg_.geo.banks) {
+    throw std::out_of_range("DramDevice: bank " + std::to_string(bank) + " >= " +
+                            std::to_string(cfg_.geo.banks));
+  }
+}
+
+void DramDevice::check_row(const RowAddr& row) const {
+  check_bank(row.bank);
+  if (row.subarray >= cfg_.geo.subarrays_per_bank || row.row >= cfg_.geo.rows_per_subarray) {
+    throw std::out_of_range("DramDevice: row (" + std::to_string(row.bank) + ", " +
+                            std::to_string(row.subarray) + ", " + std::to_string(row.row) +
+                            ") outside the geometry");
+  }
+}
+
+void DramDevice::check_col(usize col) const {
+  if (col >= cfg_.geo.row_bytes) {
+    throw std::out_of_range("DramDevice: column " + std::to_string(col) + " >= row size " +
+                            std::to_string(cfg_.geo.row_bytes));
+  }
+}
+
+void DramDevice::check_row_size(usize bytes) const {
+  if (bytes != cfg_.geo.row_bytes) {
+    throw std::invalid_argument("DramDevice: row buffer of " + std::to_string(bytes) +
+                                " bytes, row size is " + std::to_string(cfg_.geo.row_bytes));
+  }
+}
+
 usize DramDevice::row_offset(const RowAddr& row) const {
+  check_row(row);
   return static_cast<usize>(flat_row_id(cfg_.geo, row)) * cfg_.geo.row_bytes;
 }
 
@@ -31,9 +63,8 @@ void DramDevice::notify_restore(const RowAddr& row, RestoreKind kind) {
 }
 
 void DramDevice::activate(const RowAddr& row) {
-  assert(row.bank < cfg_.geo.banks);
-  const i64 in_bank =
-      static_cast<i64>(row.subarray) * cfg_.geo.rows_per_subarray + row.row;
+  check_row(row);
+  const i64 in_bank = in_bank_row(cfg_.geo, row);
   if (open_row_[row.bank] == in_bank) return;  // already open: no command issued
   if (open_row_[row.bank] >= 0) precharge(row.bank);
   open_row_[row.bank] = in_bank;
@@ -45,8 +76,44 @@ void DramDevice::activate(const RowAddr& row) {
   notify_restore(row, RestoreKind::kRefresh);  // sensing re-amplifies the row's own cells
 }
 
+u64 DramDevice::quiet_horizon(const ActPattern& p, u64 want) {
+  const auto& aggs = p.aggressors;
+  if (aggs.size() < 2 || p.phase >= aggs.size()) return 0;
+  for (usize j = 0; j < aggs.size(); ++j) {
+    check_row(aggs[j]);
+    if (aggs[j].bank != aggs[0].bank) return 0;
+    for (usize i = 0; i < j; ++i) {
+      if (aggs[i] == aggs[j]) return 0;
+    }
+  }
+  // The first ACT must close a row (PRE+ACT); distinct aggressors then
+  // keep the row buffer thrashing for the rest of the run.
+  const i64 open = open_row_[aggs[0].bank];
+  if (open < 0 || open == in_bank_row(cfg_.geo, aggs[p.phase])) return 0;
+  u64 k = want;
+  for (auto* l : listeners_) {
+    if (k == 0) break;
+    k = std::min(k, l->quiet_horizon(p, k));
+  }
+  return k;
+}
+
+void DramDevice::activate_quiet(const ActPattern& p, u64 k) {
+  if (k == 0) return;
+  const RowAddr& last = p.aggressors[(p.phase + k - 1) % p.aggressors.size()];
+  check_row(last);
+  open_row_[last.bank] = in_bank_row(cfg_.geo, last);
+  const Picoseconds dt = static_cast<Picoseconds>(k) * act_period();
+  now_ += dt;
+  stats_.n_pre += k;
+  stats_.n_act += k;
+  stats_.busy_time += dt;
+  stats_.energy += static_cast<Femtojoules>(k) * (cfg_.energy.pre + cfg_.energy.act);
+  for (auto* l : listeners_) l->skip_quiet(p, k);
+}
+
 void DramDevice::precharge(u32 bank) {
-  assert(bank < cfg_.geo.banks);
+  check_bank(bank);
   if (open_row_[bank] < 0) return;
   open_row_[bank] = -1;
   now_ += cfg_.timing.t_rp;
@@ -56,15 +123,14 @@ void DramDevice::precharge(u32 bank) {
 }
 
 void DramDevice::ensure_open(const RowAddr& row) {
-  const i64 in_bank =
-      static_cast<i64>(row.subarray) * cfg_.geo.rows_per_subarray + row.row;
-  if (open_row_[row.bank] != in_bank) activate(row);
+  check_row(row);
+  if (open_row_[row.bank] != in_bank_row(cfg_.geo, row)) activate(row);
 }
 
 void DramDevice::read_burst(const RowAddr& row, usize burst_index, std::span<u8> out) {
+  check_col(burst_index * 64);
   ensure_open(row);
   const usize off = row_offset(row) + burst_index * 64;
-  assert(burst_index * 64 < cfg_.geo.row_bytes);
   const usize n = std::min<usize>(out.size(), 64);
   std::copy_n(cells_.begin() + static_cast<isize>(off), n, out.begin());
   now_ += cfg_.timing.t_cl + cfg_.timing.t_bl;
@@ -74,9 +140,9 @@ void DramDevice::read_burst(const RowAddr& row, usize burst_index, std::span<u8>
 }
 
 void DramDevice::write_burst(const RowAddr& row, usize burst_index, std::span<const u8> data) {
+  check_col(burst_index * 64);
   ensure_open(row);
   const usize off = row_offset(row) + burst_index * 64;
-  assert(burst_index * 64 < cfg_.geo.row_bytes);
   const usize n = std::min<usize>(data.size(), 64);
   std::copy_n(data.begin(), n, cells_.begin() + static_cast<isize>(off));
   now_ += cfg_.timing.t_bl;
@@ -95,20 +161,18 @@ std::vector<u8> DramDevice::read_row(const RowAddr& row) {
 }
 
 void DramDevice::write_row(const RowAddr& row, std::span<const u8> data) {
-  assert(data.size() == cfg_.geo.row_bytes);
+  check_row_size(data.size());
   for (usize b = 0; b * 64 < cfg_.geo.row_bytes; ++b) {
     write_burst(row, b, data.subspan(b * 64, 64));
   }
 }
 
 void DramDevice::rowclone_fpm(u32 bank, u32 subarray, u32 src_row, u32 dst_row) {
-  assert(bank < cfg_.geo.banks);
-  assert(subarray < cfg_.geo.subarrays_per_bank);
-  assert(src_row < cfg_.geo.rows_per_subarray);
-  assert(dst_row < cfg_.geo.rows_per_subarray);
-  if (src_row == dst_row) return;
   const RowAddr src{bank, subarray, src_row};
   const RowAddr dst{bank, subarray, dst_row};
+  check_row(src);
+  check_row(dst);
+  if (src_row == dst_row) return;
   // Back-to-back ACTs without an intervening PRE: the row buffer holds the
   // source data and drives it into the destination row.
   std::copy_n(cells_.begin() + static_cast<isize>(row_offset(src)), cfg_.geo.row_bytes,
@@ -127,6 +191,8 @@ void DramDevice::rowclone_fpm(u32 bank, u32 subarray, u32 src_row, u32 dst_row) 
 void DramDevice::rowclone_psm(const RowAddr& src, const RowAddr& dst) {
   // Pipelined serial mode: row travels over the internal bus burst by burst.
   // Roughly 2x the FPM latency per RowClone (MICRO'13); still no off-chip I/O.
+  check_row(src);
+  check_row(dst);
   std::copy_n(cells_.begin() + static_cast<isize>(row_offset(src)), cfg_.geo.row_bytes,
               cells_.begin() + static_cast<isize>(row_offset(dst)));
   const Picoseconds t = 2 * cfg_.timing.t_aap +
@@ -162,12 +228,12 @@ void DramDevice::refresh_all() {
 }
 
 u8 DramDevice::peek(const RowAddr& row, usize col) const {
-  assert(col < cfg_.geo.row_bytes);
+  check_col(col);
   return cells_[row_offset(row) + col];
 }
 
 void DramDevice::poke(const RowAddr& row, usize col, u8 value) {
-  assert(col < cfg_.geo.row_bytes);
+  check_col(col);
   cells_[row_offset(row) + col] = value;
 }
 
@@ -176,13 +242,13 @@ std::span<const u8> DramDevice::peek_row(const RowAddr& row) const {
 }
 
 void DramDevice::poke_row(const RowAddr& row, std::span<const u8> data) {
-  assert(data.size() == cfg_.geo.row_bytes);
+  check_row_size(data.size());
   std::copy(data.begin(), data.end(), cells_.begin() + static_cast<isize>(row_offset(row)));
 }
 
 void DramDevice::force_flip_bit(const RowAddr& row, usize col, u32 bit) {
-  assert(col < cfg_.geo.row_bytes);
-  assert(bit < 8);
+  check_col(col);
+  if (bit >= 8) throw std::out_of_range("DramDevice: bit " + std::to_string(bit) + " >= 8");
   cells_[row_offset(row) + col] ^= static_cast<u8>(1u << bit);
   stats_.n_bitflips += 1;
 }
@@ -199,7 +265,7 @@ void DramDevice::remove_listener(RowEventListener* l) {
 }
 
 i64 DramDevice::open_row(u32 bank) const {
-  assert(bank < cfg_.geo.banks);
+  check_bank(bank);
   return open_row_[bank];
 }
 

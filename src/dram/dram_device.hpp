@@ -19,6 +19,33 @@ enum class RestoreKind {
   kRewrite,  ///< new data driven into the cells (write, RowClone destination)
 };
 
+/// A round-robin hammer pattern, seen from the next ACT: that ACT opens
+/// `aggressors[phase]`, the one after `aggressors[(phase + 1) % size]`, and
+/// so on. DramDevice::quiet_horizon only accepts distinct aggressors of one
+/// bank, so every ACT of the pattern is a PRE+ACT pair.
+struct ActPattern {
+  std::span<const RowAddr> aggressors;
+  usize phase = 0;  ///< < aggressors.size()
+
+  /// ACTs of aggressors[j] among the next `k` ACTs.
+  [[nodiscard]] u64 acts_of(usize j, u64 k) const {
+    const u64 first = offset_of(j);
+    return k > first ? (k - first - 1) / aggressors.size() + 1 : 0;
+  }
+  /// Largest k for which the next k ACTs open aggressors[j] at most `budget`
+  /// times.
+  [[nodiscard]] u64 max_acts_with(usize j, u64 budget) const {
+    return offset_of(j) + budget * aggressors.size();
+  }
+
+ private:
+  /// How many ACTs come before the next ACT of aggressors[j].
+  [[nodiscard]] u64 offset_of(usize j) const {
+    const usize n = aggressors.size();
+    return (j + n - phase) % n;
+  }
+};
+
 /// Observer interface for row-level events. The RowHammer model listens to
 /// build disturbance counters; counter-based mitigations listen to track
 /// aggressors.
@@ -31,6 +58,16 @@ class RowEventListener {
   /// accumulated against this row so far can no longer flip it. kRewrite
   /// additionally recharges previously-flipped cells (fresh data).
   virtual void on_restore(const RowAddr& row, Picoseconds now, RestoreKind kind) = 0;
+
+  /// Quiet horizon: how many of the next ACTs of `p` (at most `want`) this
+  /// listener can take with no effect beyond counting -- no bit flip, no
+  /// maintenance, no tracker insert or eviction, no random outcome other
+  /// than a pre-drawn "no". 0 is always correct: the caller then issues the
+  /// next ACT through activate().
+  virtual u64 quiet_horizon(const ActPattern& /*p*/, u64 /*want*/) { return 0; }
+  /// Applies `k` ACTs of `p` (k within the horizon just reported) exactly as
+  /// k on_activate/on_restore pairs would have.
+  virtual void skip_quiet(const ActPattern& /*p*/, u64 /*k*/) {}
 };
 
 /// The simulated device. All mutating commands advance the internal clock and
@@ -48,6 +85,20 @@ class DramDevice {
   /// ACT: opens `row` in its bank (implicitly PREs a different open row).
   /// Fires on_activate and on_restore for the row.
   void activate(const RowAddr& row);
+
+  /// How many of the next ACTs of `p` (at most `want`) are quiet: each is a
+  /// PRE+ACT pair that every listener only counts. Returns 0 unless `p` has
+  /// at least two distinct aggressors of one bank and that bank holds
+  /// another row open.
+  u64 quiet_horizon(const ActPattern& p, u64 want);
+
+  /// Issues `k` ACTs of `p` in bulk; `k` must be within the quiet_horizon
+  /// reported just before. Clock, Stats, open row and every listener end
+  /// exactly as after k activate() calls.
+  void activate_quiet(const ActPattern& p, u64 k);
+
+  /// Device time of one ACT that closes another open row (tRP + tACT).
+  [[nodiscard]] Picoseconds act_period() const { return cfg_.timing.t_rp + cfg_.timing.t_act; }
 
   /// PRE: closes the open row of `bank` (no-op when already closed).
   void precharge(u32 bank);
@@ -83,6 +134,9 @@ class DramDevice {
   void refresh_all();
 
   // ----- physical/cell-level access (no timing; models faults & test setup) -----
+  // Every entry point above and below checks its addresses in all builds:
+  // a bank, subarray, row, burst, column or bit outside the geometry throws
+  // std::out_of_range, a buffer of the wrong size std::invalid_argument.
 
   [[nodiscard]] u8 peek(const RowAddr& row, usize col) const;
   void poke(const RowAddr& row, usize col, u8 value);
@@ -110,7 +164,15 @@ class DramDevice {
   [[nodiscard]] i64 open_row(u32 bank) const;
 
  private:
+  void check_bank(u32 bank) const;
+  void check_row(const RowAddr& row) const;
+  void check_col(usize col) const;
+  void check_row_size(usize bytes) const;
+  /// Byte offset of a row in `cells_`; checks the address.
   usize row_offset(const RowAddr& row) const;
+  static i64 in_bank_row(const Geometry& geo, const RowAddr& row) {
+    return static_cast<i64>(row.subarray) * geo.rows_per_subarray + row.row;
+  }
   void ensure_open(const RowAddr& row);
   void notify_activate(const RowAddr& row);
   void notify_restore(const RowAddr& row, RestoreKind kind);

@@ -1,7 +1,9 @@
 #include "rowhammer/attacker.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
+#include <stdexcept>
 
 namespace dnnd::rowhammer {
 
@@ -11,10 +13,24 @@ HammerAttacker::HammerAttacker(dram::DramDevice& device, sys::Rng rng)
     : device_(device), rng_(rng) {}
 
 void HammerAttacker::hammer(std::span<const RowAddr> aggressors, u64 n_acts) {
-  assert(!aggressors.empty());
-  for (u64 i = 0; i < n_acts; ++i) {
-    device_.activate(aggressors[i % aggressors.size()]);
+  if (aggressors.empty()) {
+    throw std::invalid_argument("HammerAttacker::hammer: empty aggressor list");
+  }
+  const usize n = aggressors.size();
+  u64 i = 0;
+  while (i < n_acts) {
+    // One ACT the ordinary way: it carries every event (flip, maintenance,
+    // tracker insert) a horizon stops at.
+    device_.activate(aggressors[i % n]);
     if (post_act_) post_act_();
+    if (++i == n_acts) break;
+    const dram::ActPattern p{aggressors, static_cast<usize>(i % n)};
+    u64 k = n_acts - i;
+    if (post_act_) k = post_act_horizon_ ? std::min(k, post_act_horizon_(p, k)) : 0;
+    if (k == 0) continue;
+    k = device_.quiet_horizon(p, k);
+    device_.activate_quiet(p, k);
+    i += k;
   }
 }
 

@@ -44,11 +44,22 @@ class HammerAttacker {
   /// this to let the defense execute swaps that are due, interleaving victim
   /// traffic with the attack exactly as a shared command bus would.
   using PostActHook = std::function<void()>;
-  void set_post_act_hook(PostActHook hook) { post_act_ = std::move(hook); }
+  /// The hook's quiet horizon: over how many of the next ACTs of a pattern
+  /// (at most `want`) the hook does nothing. Without one, every ACT runs
+  /// the hook.
+  using HookHorizon = std::function<u64(const dram::ActPattern& p, u64 want)>;
+  void set_post_act_hook(PostActHook hook, HookHorizon horizon = {}) {
+    post_act_ = std::move(hook);
+    post_act_horizon_ = std::move(horizon);
+  }
 
   /// Issues `n_acts` ACTs round-robin over `aggressors` (each ACT implicitly
   /// precharges the previous row, which is what makes hammering effective).
-  /// Aggressors must share a bank for the row buffer to thrash.
+  /// Aggressors must share a bank for the row buffer to thrash. Runs of ACTs
+  /// that the device, its listeners and the hook all report quiet are
+  /// applied in bulk (DramDevice::activate_quiet), with the same result as
+  /// issuing them one by one. Throws std::invalid_argument for an empty
+  /// aggressor list.
   void hammer(std::span<const dram::RowAddr> aggressors, u64 n_acts);
 
   /// Single-sided attack: hammers victim.row+1 (or victim.row-1 at the top
@@ -74,6 +85,7 @@ class HammerAttacker {
   dram::DramDevice& device_;
   sys::Rng rng_;
   PostActHook post_act_;
+  HookHorizon post_act_horizon_;
 };
 
 }  // namespace dnnd::rowhammer

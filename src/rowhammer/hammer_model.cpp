@@ -1,7 +1,8 @@
 #include "rowhammer/hammer_model.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
+#include <limits>
 
 namespace dnnd::rowhammer {
 
@@ -98,6 +99,103 @@ void HammerModel::on_restore(const RowAddr& row, Picoseconds /*now*/, dram::Rest
   if (kind == dram::RestoreKind::kRewrite) {
     // Fresh data recharges every cell; previously-flipped cells can flip again.
     std::fill(st.discharged.begin(), st.discharged.end(), false);
+  }
+}
+
+const std::vector<HammerModel::Touched>& HammerModel::touched_by(
+    std::span<const RowAddr> aggressors) {
+  if (std::equal(aggressors.begin(), aggressors.end(), touched_key_.begin(),
+                 touched_key_.end())) {
+    return touched_;
+  }
+  touched_key_.assign(aggressors.begin(), aggressors.end());
+  touched_.clear();
+  if (aggressors.size() > 64) return touched_;
+  const auto& cfg = device_.config();
+  std::vector<u64> ids;
+  // Building a row's state early is invisible: a fresh state holds the
+  // same zero disturbance a missing one reports.
+  auto touch = [&](const RowAddr& row) -> Touched& {
+    const u64 id = flat_row_id(cfg.geo, row);
+    const auto at = std::find(ids.begin(), ids.end(), id);
+    if (at != ids.end()) return touched_[static_cast<usize>(at - ids.begin())];
+    ids.push_back(id);
+    return touched_.emplace_back(Touched{&state_for(id, row), 0, -1});
+  };
+  for (usize j = 0; j < aggressors.size(); ++j) {
+    const RowAddr& a = aggressors[j];
+    touch(a).self = static_cast<int>(j);
+    for (u32 d = 1; d <= cfg.blast_radius; ++d) {
+      if (a.row >= d) touch(RowAddr{a.bank, a.subarray, a.row - d}).bumped_by |= 1ULL << j;
+      if (a.row + d < cfg.geo.rows_per_subarray) {
+        touch(RowAddr{a.bank, a.subarray, a.row + d}).bumped_by |= 1ULL << j;
+      }
+    }
+  }
+  return touched_;
+}
+
+namespace {
+constexpr u64 kNever = std::numeric_limits<u64>::max();
+
+/// Disturbances the next `k` ACTs of `p` deposit on a row bumped by `mask`.
+u64 bumps(const dram::ActPattern& p, u64 mask, u64 k) {
+  u64 total = 0;
+  for (u64 m = mask; m != 0; m &= m - 1) {
+    total += p.acts_of(static_cast<usize>(std::countr_zero(m)), k);
+  }
+  return total;
+}
+}  // namespace
+
+u64 HammerModel::quiet_horizon(const dram::ActPattern& p, u64 want) {
+  const auto& touched = touched_by(p.aggressors);
+  if (touched.empty()) return 0;
+  const usize n = p.aggressors.size();
+  u64 k = want;
+  for (const Touched& t : touched) {
+    if (t.bumped_by == 0) continue;  // only ever restored
+    const RowState& st = *t.state;
+    const u64 m = static_cast<u64>(std::popcount(t.bumped_by));
+    const u64 next = st.next_candidate < st.cells.size()
+                         ? st.cells[st.next_candidate].threshold
+                         : kNever;
+    if (t.self >= 0) {
+      // Each of its own ACTs restores an aggressor, so it never holds more
+      // than one cycle's m disturbances beyond what it holds now.
+      const u64 first = st.cells.empty() ? kNever : st.cells.front().threshold;
+      if (st.disturbance + m >= next || m >= first) return 0;
+      continue;
+    }
+    if (next == kNever) continue;
+    if (next <= st.disturbance) return 0;
+    // The ACT that deposits disturbance number `next` is the first event:
+    // whole cycles of m bumps, then a walk through the partial cycle.
+    const u64 budget = next - 1 - st.disturbance;
+    u64 left = budget % m;
+    u64 step = 0;
+    for (;; ++step) {
+      if (((t.bumped_by >> ((p.phase + step) % n)) & 1) == 0) continue;
+      if (left == 0) break;
+      --left;
+    }
+    k = std::min(k, budget / m * n + step);
+  }
+  return k;
+}
+
+void HammerModel::skip_quiet(const dram::ActPattern& p, u64 k) {
+  for (const Touched& t : touched_by(p.aggressors)) {
+    RowState& st = *t.state;
+    const u64 own = t.self >= 0 ? p.acts_of(static_cast<usize>(t.self), k) : 0;
+    if (own == 0) {
+      st.disturbance += bumps(p, t.bumped_by, k);
+      continue;
+    }
+    // Restored by its last ACT of the run; only the bumps after it remain.
+    const u64 last = p.max_acts_with(static_cast<usize>(t.self), own - 1);
+    st.disturbance = bumps(p, t.bumped_by, k) - bumps(p, t.bumped_by, last + 1);
+    st.next_candidate = 0;
   }
 }
 

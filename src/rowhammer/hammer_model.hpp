@@ -54,6 +54,10 @@ class HammerModel final : public dram::RowEventListener {
   // RowEventListener
   void on_activate(const dram::RowAddr& row, Picoseconds now) override;
   void on_restore(const dram::RowAddr& row, Picoseconds now, dram::RestoreKind kind) override;
+  /// Quiet until some row near the aggressors reaches the threshold of its
+  /// next candidate cell (the ACT that would flip it, or pass it over).
+  u64 quiet_horizon(const dram::ActPattern& p, u64 want) override;
+  void skip_quiet(const dram::ActPattern& p, u64 k) override;
 
   /// Current disturbance (adjacent ACTs since last restore) of a row.
   [[nodiscard]] u64 disturbance(const dram::RowAddr& row) const;
@@ -81,14 +85,28 @@ class HammerModel final : public dram::RowEventListener {
     usize next_candidate = 0;           ///< index into `cells` for the scan
   };
 
+  /// A row an ACT pattern touches: bit j of `bumped_by` is set when an ACT
+  /// of aggressors[j] disturbs it; `self` is its own index among the
+  /// aggressors (restored by its ACTs), or -1.
+  struct Touched {
+    RowState* state;
+    u64 bumped_by;
+    int self;
+  };
+
   RowState& state_for(u64 flat_id, const dram::RowAddr& row);
   void build_cells(RowState& st, const dram::RowAddr& row) const;
   void bump_and_maybe_flip(const dram::RowAddr& victim);
+  /// The rows `aggressors` touch, cached for the last aggressor list seen.
+  /// Empty when the list is too long to describe with a 64-bit mask.
+  const std::vector<Touched>& touched_by(std::span<const dram::RowAddr> aggressors);
 
   dram::DramDevice& device_;
   HammerModelConfig cfg_;
-  std::unordered_map<u64, RowState> rows_;
+  std::unordered_map<u64, RowState> rows_;  ///< node-based: RowState* stay valid
   u64 flips_injected_ = 0;
+  std::vector<dram::RowAddr> touched_key_;
+  std::vector<Touched> touched_;
 };
 
 }  // namespace dnnd::rowhammer

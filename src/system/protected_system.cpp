@@ -25,7 +25,9 @@ ProtectedSystem::ProtectedSystem(quant::QuantizedModel& qm, ProtectedSystemConfi
 void ProtectedSystem::install_hook() {
   if (mitigation_) {
     defense::Mitigation* m = mitigation_.get();
-    deephammer_->driver().set_post_act_hook([m] { m->tick(); });
+    deephammer_->driver().set_post_act_hook(
+        [m] { m->tick(); },
+        [m](const dram::ActPattern& p, u64 want) { return m->quiet_horizon(p, want); });
   } else {
     deephammer_->driver().set_post_act_hook({});
   }

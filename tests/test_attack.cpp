@@ -522,5 +522,70 @@ TEST_F(DeepHammerFixture, RepeatedFlipsAcrossWeights) {
   EXPECT_EQ(landed, 4u);
 }
 
+using dram::RowAddr;
+
+TEST_F(DeepHammerFixture, ChaseOffAnEdgeFrameKeepsEveryActivationInBounds) {
+  // Find a weight bit whose cell is flippable, in the needed direction, on
+  // physical row 0 of some subarray: the frame a relocation would hand the
+  // old chase as "still flippable" with no row above it.
+  const auto& geo = cfg_.geo;
+  std::optional<quant::BitLocation> target;
+  RowAddr edge;
+  for (usize i = 0; i < qm_.layer(0).q.size() && !target; ++i) {
+    const mapping::Placement place = mapping_.locate(0, i);
+    const RowAddr phys = remap_.to_physical(place.row);
+    for (u32 bit = 0; bit < 8 && !target; ++bit) {
+      const bool set = (device_.peek(phys, place.col) >> bit) & 1;
+      for (u32 s = 0; s < geo.subarrays_per_bank && !target; ++s) {
+        const RowAddr row0{phys.bank, s, 0};
+        const auto info = hammer_.cell_info(row0, place.col, bit);
+        if (info.has_value() && info->one_to_zero == set && !(row0 == phys)) {
+          target = quant::BitLocation{0, i, bit};
+          edge = row0;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(target.has_value());
+  const RowAddr logical = mapping_.locate(target->layer, target->index).row;
+
+  // Every ACT the device accepts must lie inside the geometry.
+  struct BoundsCheck : dram::RowEventListener {
+    explicit BoundsCheck(const dram::Geometry& g) : geo(g) {}
+    void on_activate(const RowAddr& r, Picoseconds) override {
+      bad += r.bank >= geo.banks || r.subarray >= geo.subarrays_per_bank ||
+             r.row >= geo.rows_per_subarray;
+    }
+    void on_restore(const RowAddr&, Picoseconds, dram::RestoreKind) override {}
+    dram::Geometry geo;
+    u64 bad = 0;
+  } bounds(geo);
+  device_.add_listener(&bounds);
+
+  // Mid-attack, a stand-in defense moves the victim row to the edge frame
+  // (data and mapping), as a SHADOW shuffle can.
+  u64 acts = 0;
+  bool moved = false;
+  attack_.driver().set_post_act_hook([&] {
+    if (++acts != 300) return;
+    const RowAddr from = remap_.to_physical(logical);
+    const std::vector<u8> victim(device_.peek_row(from).begin(), device_.peek_row(from).end());
+    const std::vector<u8> other(device_.peek_row(edge).begin(), device_.peek_row(edge).end());
+    device_.poke_row(edge, victim);
+    device_.poke_row(from, other);
+    remap_.swap_logical(logical, remap_.to_logical(edge));
+    moved = true;
+  });
+  FlipAttempt attempt;
+  EXPECT_NO_THROW(attempt = attack_.attempt_flip(*target));
+  device_.remove_listener(&bounds);
+  ASSERT_TRUE(moved);
+  EXPECT_GE(attempt.relocations_chased, 1u);
+  EXPECT_EQ(bounds.bad, 0u);
+  const RowAddr final_frame = remap_.to_physical(logical);
+  EXPECT_GT(final_frame.row, 0u) << "the chase must re-massage off the edge frame";
+  EXPECT_TRUE(attempt.success);
+}
+
 }  // namespace
 }  // namespace dnnd::attack

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "dram/dram_device.hpp"
 #include "dram/row_remapper.hpp"
@@ -298,6 +299,69 @@ TEST(Remapper, ChainedSwapsComposeCorrectly) {
   EXPECT_EQ(remap.to_physical(c), (RowAddr{0, 0, 1}));
   // Inverse is consistent everywhere.
   for (const auto& r : {a, b, c}) EXPECT_EQ(remap.to_logical(remap.to_physical(r)), r);
+}
+
+TEST_F(DeviceTest, OutOfRangeAddressesThrowInEveryBuild) {
+  // sim_small: 2 banks x 4 subarrays x 64 rows of 512 bytes.
+  const RowAddr wrapped{0, 1, 0xFFFFFFFF};  // row 0 minus one
+  const std::vector<u8> row(dev_.config().geo.row_bytes, 0);
+  std::vector<u8> burst(64);
+  EXPECT_THROW(dev_.activate(wrapped), std::out_of_range);
+  EXPECT_THROW(dev_.activate({2, 0, 0}), std::out_of_range);
+  EXPECT_THROW(dev_.activate({0, 4, 0}), std::out_of_range);
+  EXPECT_THROW(dev_.precharge(2), std::out_of_range);
+  EXPECT_THROW(dev_.open_row(2), std::out_of_range);
+  EXPECT_THROW(dev_.read_burst({0, 0, 64}, 0, burst), std::out_of_range);
+  EXPECT_THROW(dev_.read_burst({0, 0, 1}, 8, burst), std::out_of_range);
+  EXPECT_THROW(dev_.write_burst({0, 0, 1}, 8, burst), std::out_of_range);
+  EXPECT_THROW(dev_.write_row({0, 0, 1}, burst), std::invalid_argument);
+  EXPECT_THROW(dev_.rowclone_fpm(0, 0, 0xFFFFFFFF, 1), std::out_of_range);
+  EXPECT_THROW(dev_.rowclone_fpm(0, 0, 1, 64), std::out_of_range);
+  EXPECT_THROW(dev_.rowclone_fpm(0, 4, 1, 2), std::out_of_range);
+  EXPECT_THROW(dev_.rowclone_psm(wrapped, {1, 0, 0}), std::out_of_range);
+  EXPECT_THROW((void)dev_.peek(wrapped, 0), std::out_of_range);
+  EXPECT_THROW((void)dev_.peek({0, 0, 0}, 512), std::out_of_range);
+  EXPECT_THROW(dev_.poke({0, 0, 0}, 512, 1), std::out_of_range);
+  EXPECT_THROW((void)dev_.peek_row(wrapped), std::out_of_range);
+  EXPECT_THROW(dev_.poke_row(wrapped, row), std::out_of_range);
+  EXPECT_THROW(dev_.poke_row({0, 0, 0}, burst), std::invalid_argument);
+  EXPECT_THROW(dev_.force_flip_bit({0, 0, 0}, 0, 8), std::out_of_range);
+  EXPECT_THROW(dev_.force_flip_bit({0, 0, 0}, 512, 0), std::out_of_range);
+  // Nothing ran: no command was issued, no cell changed.
+  EXPECT_EQ(dev_.stats().summary(), Stats{}.summary());
+  EXPECT_EQ(dev_.now(), 0);
+  for (u32 bank = 0; bank < 2; ++bank) EXPECT_EQ(dev_.open_row(bank), -1);
+}
+
+TEST_F(DeviceTest, QuietHorizonNeedsAThrashingPattern) {
+  struct Unbounded : RowEventListener {
+    void on_activate(const RowAddr&, Picoseconds) override {}
+    void on_restore(const RowAddr&, Picoseconds, RestoreKind) override {}
+    u64 quiet_horizon(const ActPattern&, u64 want) override { return want; }
+  } quiet;
+  dev_.add_listener(&quiet);
+  const RowAddr pair[2] = {{0, 0, 3}, {0, 0, 5}};
+  // Bank precharged: the next ACT would not be a PRE+ACT pair.
+  EXPECT_EQ(dev_.quiet_horizon({pair, 0}, 100), 0u);
+  dev_.activate(pair[0]);
+  EXPECT_EQ(dev_.quiet_horizon({pair, 0}, 100), 0u);  // aggressors[0] already open
+  EXPECT_EQ(dev_.quiet_horizon({pair, 1}, 100), 100u);
+  const RowAddr two_banks[2] = {{0, 0, 3}, {1, 0, 5}};
+  EXPECT_EQ(dev_.quiet_horizon({two_banks, 1}, 100), 0u);
+  const RowAddr repeated[3] = {{0, 0, 3}, {0, 0, 5}, {0, 0, 5}};
+  EXPECT_EQ(dev_.quiet_horizon({repeated, 1}, 100), 0u);
+  const RowAddr wrapped[2] = {{0, 0, 3}, {0, 0, 0xFFFFFFFF}};
+  EXPECT_THROW((void)dev_.quiet_horizon({wrapped, 1}, 100), std::out_of_range);
+  // With no listener objecting, a bulk run accounts like single ACTs.
+  DramDevice twin(DramConfig::sim_small());
+  for (int i = 0; i < 7; ++i) twin.activate(pair[i % 2]);
+  dev_.activate_quiet({pair, 1}, 6);
+  EXPECT_EQ(dev_.stats().summary(), twin.stats().summary());
+  EXPECT_EQ(dev_.stats().busy_time, twin.stats().busy_time);
+  EXPECT_EQ(dev_.stats().energy, twin.stats().energy);
+  EXPECT_EQ(dev_.now(), twin.now());
+  EXPECT_EQ(dev_.open_row(0), twin.open_row(0));
+  dev_.remove_listener(&quiet);
 }
 
 }  // namespace

@@ -223,6 +223,24 @@ TEST_F(HammerTest, PostActHookFires) {
   EXPECT_EQ(hooks, 100u);
 }
 
+TEST_F(HammerTest, EmptyAggressorListThrows) {
+  EXPECT_THROW(attacker_.hammer({}, 10), std::invalid_argument);
+  EXPECT_EQ(dev_.stats().n_act, 0u);
+}
+
+TEST_F(HammerTest, HookHorizonLetsQuietRunsSkipTheHook) {
+  // Without a horizon the hook runs after every ACT (PostActHookFires); a
+  // hook that declares itself always quiet is skipped over bulk runs.
+  u64 hooks = 0;
+  const RowAddr aggressors[2] = {{0, 0, 3}, {0, 0, 5}};
+  attacker_.set_post_act_hook([&] { ++hooks; },
+                              [](const dram::ActPattern&, u64 want) { return want; });
+  attacker_.hammer(aggressors, 100);
+  EXPECT_LT(hooks, 100u);
+  EXPECT_EQ(dev_.stats().n_act, 100u);
+  EXPECT_EQ(model_.disturbance({0, 0, 4}), 100u);
+}
+
 TEST(HammerEdge, TopEdgeVictimFallsBackToLowerAggressor) {
   DramConfig cfg = small_config();
   DramDevice dev(cfg);
